@@ -23,6 +23,8 @@ from .events import Finding
 #: several chunks per call while the whole sweep stays CI-fast.
 _MONOLITHIC_PAYLOADS: List[Tuple[int, Optional[int]]] = [(256, None), (1024, None)]
 _PIPELINED_PAYLOADS: List[Tuple[int, Optional[int]]] = [(512, 128), (2048, 512)]
+#: A data-free collective (the barrier) has one payload cell.
+_DATA_FREE_PAYLOADS: List[Tuple[int, Optional[int]]] = [(0, None)]
 
 
 def _cells(
@@ -32,11 +34,12 @@ def _cells(
     cells: List[Tuple[str, int, int, Optional[int], int]] = []
     for name in algorithms:
         info = REGISTRY.get(name)
-        payloads = (
-            _PIPELINED_PAYLOADS
-            if info.capabilities.pipelined
-            else _MONOLITHIC_PAYLOADS
-        )
+        if info.collective == "barrier":
+            payloads = _DATA_FREE_PAYLOADS
+        elif info.capabilities.pipelined:
+            payloads = _PIPELINED_PAYLOADS
+        else:
+            payloads = _MONOLITHIC_PAYLOADS
         for ranks in rank_counts:
             reason = info.capabilities.unsupported_reason(
                 ranks, None, None

@@ -11,9 +11,10 @@ per rank, over real payload bytes, for the checkers in
 
 Two execution styles are bridged:
 
-* The three *pipelined* plans are generators already: ``begin(request)``
-  yields a :class:`~repro.core.pipeline.WaitSpec` whenever a wait would
-  block, so the model simply drives the real generator cooperatively.
+* The three *pipelined* plans, the alltoall plan and the barrier plan
+  are generators already: ``begin(request)`` yields a
+  :class:`~repro.core.pipeline.WaitSpec` whenever a wait would block, so
+  the model simply drives the real generator cooperatively.
 * The five *monolithic* plans block inline (``notify_waitsome`` with a
   real timeout).  For these, :mod:`repro.analysis.model` carries one
   *emitter* per plan class — a generator transliteration of the plan's
@@ -642,7 +643,7 @@ class ModelRun:
     trace: ProtocolTrace
     world: ModelWorld
     plans: List[CollectivePlan]
-    sendbufs: List[np.ndarray]
+    sendbufs: List[Optional[np.ndarray]]
     recvbufs: List[Optional[np.ndarray]]
     algorithm: str = ""
     stalled_ranks: List[int] = field(default_factory=list)
@@ -693,19 +694,28 @@ def build_model(
     if not info.plannable:
         raise ValueError(f"algorithm {algorithm!r} has no compiled plan to verify")
     dtype = np.dtype(np.float64)
-    elements = max(1, nbytes // dtype.itemsize)
-    nbytes = elements * dtype.itemsize
     policy = ConsistencyPolicy(chunk_bytes=chunk_bytes)
-    key = PlanKey(
-        collective=info.collective,
-        algorithm=algorithm,
-        size=num_ranks,
-        root=root,
-        nbytes=nbytes,
-        dtype=dtype.str,
-        op=op,
-        policy=policy_fingerprint(policy),
-    )
+    data_free = info.collective == "barrier"
+    elements = 0 if data_free else max(1, nbytes // dtype.itemsize)
+    nbytes = elements * dtype.itemsize
+    if data_free:
+        key = PlanKey.data_free(
+            info.collective,
+            algorithm,
+            num_ranks,
+            CollectiveRequest(collective=info.collective, policy=policy),
+        )
+    else:
+        key = PlanKey(
+            collective=info.collective,
+            algorithm=algorithm,
+            size=num_ranks,
+            root=root,
+            nbytes=nbytes,
+            dtype=dtype.str,
+            op=op,
+            policy=policy_fingerprint(policy),
+        )
 
     world = ModelWorld(num_ranks)
     plans = [
@@ -713,10 +723,13 @@ def build_model(
         for rank in range(num_ranks)
     ]
 
-    sendbufs: List[np.ndarray] = []
+    sendbufs: List[Optional[np.ndarray]] = []
     recvbufs: List[Optional[np.ndarray]] = []
     for rank in range(num_ranks):
-        if info.collective == "bcast":
+        if data_free:
+            sendbufs.append(None)
+            recvbufs.append(None)
+        elif info.collective == "bcast":
             if rank == root:
                 sendbufs.append(np.arange(elements, dtype=dtype) + 1.0)
             else:

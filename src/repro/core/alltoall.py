@@ -5,26 +5,157 @@ every rank writes its block for peer ``j`` directly into peer ``j``'s
 segment with ``gaspi_write_notify`` (the notification id identifies the
 producer), then waits for P-1 notifications, resetting each one
 (``gaspi_notify_waitsome`` + ``gaspi_notify_reset``).  There is no
-intermediate forwarding, no pairwise ordering and no global barrier.
+intermediate forwarding and no pairwise ordering.
 
-:func:`alltoallv` extends the same scheme to variable block sizes, which
-the paper mentions as the GASPI equivalent of ``MPI_AlltoAllV`` used by the
-Quantum Espresso FFT mini-app.
+:class:`AlltoallPlan` is the compiled form the
+:class:`~repro.core.api.Communicator` caches: a repeated call runs on a
+workspace registered once and takes no global barrier at all — its
+double-buffered receive slots make back-to-back calls safe without one.
+The cold :func:`alltoall` compiles the same plan, runs it once and closes
+it, so it keeps two barriers per call: one after registering the
+workspace, one before deleting it.
+
+:func:`alltoallv` extends the scheme to variable block sizes, which the
+paper mentions as the GASPI equivalent of ``MPI_AlltoAllV`` used by the
+Quantum Espresso FFT mini-app.  It always runs on the cold path.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
 from ..gaspi.constants import GASPI_BLOCK
 from ..gaspi.runtime import GaspiRuntime
 from ..utils.validation import require
+from .pipeline import GeneratorPlan, PipelineGen, WaitSpec, _request_key
+from .plan import PlanKey
 from .schedule import CommunicationSchedule, Message, Protocol
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .policy import CollectiveRequest, CollectiveResult
 
 #: Default segment id used by the alltoall collectives.
 ALLTOALL_SEGMENT_ID = 140
+
+
+class AlltoallPlan(GeneratorPlan):
+    """Compiled direct AlltoAll over a pooled, double-buffered workspace.
+
+    Workspace layout, with ``B`` the block bytes and ``P`` the world
+    size: two receive regions of ``P`` slots each (one per call parity),
+    then a ``P``-block send staging region.  Call ``k`` of a plan uses
+    parity ``k mod 2``: rank ``r``'s block lands in slot ``(k mod 2)·P + r``
+    of the peer's workspace, announced by notification id
+    ``(k mod 2)·P + r``.
+
+    Slot reuse needs no acks and no barriers.  Rank ``r`` rewrites slot
+    ``(k mod 2, r)`` of peer ``j`` in call ``k + 2`` only after it has
+    completed call ``k + 1``, which needs ``j``'s call-``k+1`` block; ``j``
+    sends that block only after it has read every call-``k`` slot.  Calls
+    of different parity touch disjoint slots and ids, so a rank that
+    enters call ``k + 1`` while a peer still reads call ``k`` is harmless.
+    """
+
+    def __init__(self, runtime, key: PlanKey, segment_id: int, policy=None) -> None:
+        super().__init__(runtime, key, segment_id)
+        size = runtime.size
+        rank = runtime.rank
+        itemsize = self.key_dtype.itemsize
+        elements = key.nbytes // itemsize
+        require(
+            elements % size == 0,
+            f"sendbuf length {elements} is not divisible by world size {size}",
+        )
+        self.block = elements // size
+        require(self.block > 0, "alltoall blocks must contain at least one element")
+        self.block_bytes = self.block * itemsize
+        self.schedule_nbytes = self.block_bytes
+        self.peers = [peer for peer in range(size) if peer != rank]
+        self.send_region = 2 * size * self.block_bytes
+        self._create_workspace(3 * size * self.block_bytes)
+        self._staging = runtime.segment_view(
+            segment_id, dtype=self.key_dtype, offset=self.send_region, count=elements
+        )
+        # Frozen receive-slot views, [parity][source].
+        self._slots = [
+            [
+                runtime.segment_view(
+                    segment_id,
+                    dtype=self.key_dtype,
+                    offset=(parity * size + src) * self.block_bytes,
+                    count=self.block,
+                )
+                for src in range(size)
+            ]
+            for parity in (0, 1)
+        ]
+
+    # ------------------------------------------------------------------ #
+    def _run(self, request: "CollectiveRequest", poll_timeout: float) -> PipelineGen:
+        from .policy import CollectiveResult
+
+        sendbuf = self._check_payload(request.sendbuf, "alltoall sendbuf")
+        require(sendbuf.ndim == 1, "sendbuf must be a 1-D vector")
+        recvbuf = request.recvbuf
+        if recvbuf is None:
+            recvbuf = np.empty_like(sendbuf)
+        else:
+            recvbuf = np.asarray(recvbuf)
+            require(
+                recvbuf.size == sendbuf.size and recvbuf.dtype == sendbuf.dtype,
+                "recvbuf must match sendbuf in size and dtype",
+            )
+        rt = self.runtime
+        rank = rt.rank
+        sid = self.segment_id
+        queue = request.queue
+        block = self.block
+        block_bytes = self.block_bytes
+        parity = self.calls & 1
+        first = parity * rt.size
+
+        # Stage before writing the own block: sendbuf may be recvbuf.
+        self._staging[:] = sendbuf
+        recvbuf[rank * block : (rank + 1) * block] = sendbuf[
+            rank * block : (rank + 1) * block
+        ]
+        slot_offset = (first + rank) * block_bytes
+        for peer in self.peers:
+            rt.write_notify(
+                sid,
+                self.send_region + peer * block_bytes,
+                peer,
+                sid,
+                slot_offset,
+                block_bytes,
+                first + rank,
+                queue=queue,
+            )
+        if self.peers:
+            rt.wait(queue)
+
+        slots = self._slots[parity]
+        pending = len(self.peers)
+        while pending:
+            got = rt.notify_waitsome(sid, first, rt.size, timeout=poll_timeout)
+            if got is None:
+                yield WaitSpec(sid, first, rt.size)
+                continue
+            rt.notify_reset(sid, got)
+            src = got - first
+            recvbuf[src * block : (src + 1) * block] = slots[src]
+            pending -= 1
+        self.calls += 1
+        return CollectiveResult(value=recvbuf)
+
+
+def run_alltoall(runtime: GaspiRuntime, request: "CollectiveRequest") -> "CollectiveResult":
+    """Cold path: compile an :class:`AlltoallPlan`, run it once, close it."""
+    key = _request_key("alltoall", "gaspi_alltoall", runtime, request)
+    plan = AlltoallPlan(runtime, key, request.segment_id, request.policy)
+    return plan.run_once(request)
 
 
 def alltoall(
@@ -34,7 +165,6 @@ def alltoall(
     segment_id: int = ALLTOALL_SEGMENT_ID,
     queue: int = 0,
     timeout: float = GASPI_BLOCK,
-    manage_segment: bool = True,
 ) -> np.ndarray:
     """Exchange equal-sized blocks between every pair of ranks.
 
@@ -52,82 +182,17 @@ def alltoall(
     numpy.ndarray
         The receive buffer.
     """
-    sendbuf = np.ascontiguousarray(sendbuf)
-    rank, size = runtime.rank, runtime.size
-    require(sendbuf.ndim == 1, "sendbuf must be a 1-D vector")
-    require(
-        sendbuf.size % size == 0,
-        f"sendbuf length {sendbuf.size} is not divisible by world size {size}",
+    from .policy import CollectiveRequest
+
+    request = CollectiveRequest(
+        collective="alltoall",
+        sendbuf=np.ascontiguousarray(sendbuf),
+        recvbuf=recvbuf,
+        segment_id=segment_id,
+        queue=queue,
+        timeout=timeout,
     )
-    block = sendbuf.size // size
-    require(block > 0, "alltoall blocks must contain at least one element")
-    block_bytes = block * sendbuf.itemsize
-
-    if recvbuf is None:
-        recvbuf = np.empty_like(sendbuf)
-    else:
-        recvbuf = np.asarray(recvbuf)
-        require(
-            recvbuf.size == sendbuf.size and recvbuf.dtype == sendbuf.dtype,
-            "recvbuf must match sendbuf in size and dtype",
-        )
-
-    # Segment layout: the slot at offset i*block_bytes receives rank i's block.
-    if manage_segment:
-        runtime.segment_create(segment_id, max(size * block_bytes * 2, 8))
-        runtime.barrier()
-    try:
-        # Stage the outgoing data in the upper half of the local segment so
-        # local reads and remote writes never overlap.
-        send_offset = size * block_bytes
-        staging = runtime.segment_view(
-            segment_id, dtype=sendbuf.dtype, offset=send_offset, count=sendbuf.size
-        )
-        staging[:] = sendbuf
-
-        # Own block never touches the network.
-        recvbuf[rank * block : (rank + 1) * block] = sendbuf[
-            rank * block : (rank + 1) * block
-        ]
-
-        for peer in range(size):
-            if peer == rank:
-                continue
-            runtime.write_notify(
-                segment_id_local=segment_id,
-                offset_local=send_offset + peer * block_bytes,
-                target_rank=peer,
-                segment_id_remote=segment_id,
-                offset_remote=rank * block_bytes,
-                size=block_bytes,
-                notification_id=rank,
-                queue=queue,
-            )
-        if size > 1:
-            runtime.wait(queue)
-
-        pending = {p for p in range(size) if p != rank}
-        while pending:
-            got = runtime.notify_waitsome(segment_id, 0, size, timeout=timeout)
-            if got is None:
-                raise TimeoutError(
-                    f"rank {rank}: alltoall still waiting for blocks from {sorted(pending)}"
-                )
-            runtime.notify_reset(segment_id, got)
-            if got in pending:
-                pending.discard(got)
-                incoming = runtime.segment_read(
-                    segment_id,
-                    dtype=sendbuf.dtype,
-                    offset=got * block_bytes,
-                    count=block,
-                )
-                recvbuf[got * block : (got + 1) * block] = incoming
-    finally:
-        if manage_segment:
-            runtime.barrier()
-            runtime.segment_delete(segment_id)
-    return recvbuf
+    return run_alltoall(runtime, request).value
 
 
 def alltoallv(

@@ -97,8 +97,11 @@ _MAX_OPEN_DEGRADED = 8
 #: Compiled collective plans kept in the LRU cache; like the degraded
 #: workspace cap, this bounds the pooled segments a communicator can hold
 #: open — a workload that never repeats a shape evicts (and frees) the
-#: oldest plan instead of growing without limit.
-_MAX_CACHED_PLANS = 16
+#: oldest plan instead of growing without limit.  An LRU misses on every
+#: call of a shape cycle longer than its capacity, so the default sits
+#: well above the 17 shapes of a four-size cycle over bcast, reduce,
+#: allreduce and alltoall plus the barrier.
+_MAX_CACHED_PLANS = 32
 
 logger = get_logger("core.api")
 
@@ -845,7 +848,8 @@ class Communicator:
 
         The default uses the runtime's native group barrier; passing
         ``algorithm`` (e.g. ``"auto"`` or ``"dissemination"``) routes
-        through the registered notification barrier instead.
+        through the registered notification barrier instead, compiled
+        once into the communicator's one data-free barrier plan.
         """
         if algorithm is None:
             self.runtime.barrier()

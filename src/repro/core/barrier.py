@@ -7,28 +7,86 @@ notifies ``(rank + 2**k) mod P`` and waits for the notification from
 ``(rank - 2**k) mod P``.  After ``⌈log2 P⌉`` rounds every rank has
 (transitively) heard from every other rank.
 
-The implementation is reusable: each instance owns a tiny segment whose
+:class:`BarrierPlan` is reusable: it owns a tiny segment whose
 notification slots encode ``(generation, round)`` so back-to-back barriers
-do not confuse each other.
+do not confuse each other.  The :class:`~repro.core.api.Communicator`
+caches it as one data-free plan per communicator,
+:class:`NotificationBarrier` is a standalone handle over one, and the cold
+:func:`notification_barrier` compiles one, runs it once and closes it.
 """
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from ..gaspi.constants import GASPI_BLOCK
 from ..gaspi.runtime import GaspiRuntime
 from ..utils.validation import ceil_log2, require
+from .pipeline import GeneratorPlan, PipelineGen, WaitSpec
+from .plan import PlanKey
 from .schedule import CommunicationSchedule, Message, Protocol
 from .topology import dissemination_schedule
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .policy import CollectiveRequest, CollectiveResult
 
 #: Default segment id used by the notification barrier.
 BARRIER_SEGMENT_ID = 150
 
 #: Number of barrier generations tracked before notification ids wrap.
+#: A rank can be at most one generation ahead of any other (finishing
+#: generation ``g`` needs every rank to have entered it), so any value
+#: of at least 2 keeps the ids of in-flight generations distinct.
 _GENERATIONS = 4
 
 
+class BarrierPlan(GeneratorPlan):
+    """Compiled dissemination barrier: one data-free plan, reused forever.
+
+    The plan registers an 8-byte workspace once (the segment only carries
+    notifications).  Call ``g`` uses notification id
+    ``(g mod _GENERATIONS)·rounds + round``, so back-to-back barriers never
+    confuse each other and a planned call is exactly the ``⌈log2 P⌉``
+    notify/wait/reset rounds.
+    """
+
+    def __init__(self, runtime, key: PlanKey, segment_id: int, policy=None) -> None:
+        super().__init__(runtime, key, segment_id)
+        require(key.nbytes == 0, "a barrier plan carries no data")
+        self.rounds = ceil_log2(runtime.size) if runtime.size > 1 else 0
+        self.steps = dissemination_schedule(runtime.size, runtime.rank)
+        self._create_workspace(8)
+
+    def _run(self, request: "CollectiveRequest", poll_timeout: float) -> PipelineGen:
+        from .policy import CollectiveResult
+
+        rt = self.runtime
+        sid = self.segment_id
+        queue = request.queue
+        first = (self.calls % _GENERATIONS) * self.rounds
+        for step in self.steps:
+            notif = first + step.round_index
+            rt.notify(step.send_to, sid, notif, queue=queue)
+            rt.wait(queue)
+            while rt.notify_waitsome(sid, notif, 1, timeout=poll_timeout) is None:
+                yield WaitSpec(sid, notif, 1)
+            rt.notify_reset(sid, notif)
+        self.calls += 1
+        return CollectiveResult(value=None)
+
+
+def _barrier_key(runtime: GaspiRuntime, request: "CollectiveRequest") -> PlanKey:
+    return PlanKey.data_free(
+        "barrier", "gaspi_barrier_dissemination", runtime.size, request
+    )
+
+
 class NotificationBarrier:
-    """Reusable dissemination barrier over all ranks."""
+    """Reusable dissemination barrier over all ranks.
+
+    A standalone handle over one :class:`BarrierPlan` registered on
+    ``segment_id``: construction and :meth:`close` are collective.
+    """
 
     def __init__(
         self,
@@ -36,46 +94,38 @@ class NotificationBarrier:
         segment_id: int = BARRIER_SEGMENT_ID,
         queue: int = 0,
     ) -> None:
+        from .policy import CollectiveRequest
+
         self.runtime = runtime
-        self.segment_id = int(segment_id)
         self.queue = int(queue)
-        self.rounds = ceil_log2(runtime.size) if runtime.size > 1 else 0
-        self.generation = 0
-        # The segment only exists to carry notifications; 8 bytes suffice.
-        runtime.segment_create(self.segment_id, 8)
-        runtime.barrier()
-        self._closed = False
+        request = CollectiveRequest(collective="barrier", segment_id=segment_id)
+        self._plan = BarrierPlan(runtime, _barrier_key(runtime, request), segment_id)
+
+    @property
+    def segment_id(self) -> int:
+        return self._plan.segment_id
+
+    @property
+    def generation(self) -> int:
+        """Barriers completed so far."""
+        return self._plan.calls
 
     def wait(self, timeout: float = GASPI_BLOCK) -> None:
         """Enter the barrier; returns when every rank has entered it."""
-        if self._closed:
+        from .policy import CollectiveRequest
+
+        if self._plan.closed:
             raise RuntimeError("barrier already closed")
-        rank = self.runtime.rank
-        size = self.runtime.size
-        if size == 1:
-            self.generation += 1
-            return
-        gen_slot = self.generation % _GENERATIONS
-        for step in dissemination_schedule(size, rank):
-            notif = gen_slot * self.rounds + step.round_index
-            self.runtime.notify(step.send_to, self.segment_id, notif, queue=self.queue)
-            self.runtime.wait(self.queue)
-            got = self.runtime.notify_waitsome(self.segment_id, notif, 1, timeout=timeout)
-            if got is None:
-                raise TimeoutError(
-                    f"rank {rank}: dissemination barrier round {step.round_index} "
-                    f"timed out waiting for rank {step.recv_from}"
-                )
-            self.runtime.notify_reset(self.segment_id, got)
-        self.generation += 1
+        self._plan.execute(
+            CollectiveRequest(collective="barrier", queue=self.queue, timeout=timeout)
+        )
 
     def close(self) -> None:
         """Release the barrier segment (collective)."""
-        if self._closed:
+        if self._plan.closed:
             return
         self.runtime.barrier()
-        self.runtime.segment_delete(self.segment_id)
-        self._closed = True
+        self._plan.close()
 
     def __enter__(self) -> "NotificationBarrier":
         return self
@@ -84,17 +134,25 @@ class NotificationBarrier:
         self.close()
 
 
+def run_barrier(runtime: GaspiRuntime, request: "CollectiveRequest") -> "CollectiveResult":
+    """Cold path: compile a :class:`BarrierPlan`, run it once, close it."""
+    return BarrierPlan(
+        runtime, _barrier_key(runtime, request), request.segment_id
+    ).run_once(request)
+
+
 def notification_barrier(
     runtime: GaspiRuntime,
     segment_id: int = BARRIER_SEGMENT_ID,
     timeout: float = GASPI_BLOCK,
 ) -> None:
-    """One-shot dissemination barrier (constructs and tears down its state)."""
-    barrier = NotificationBarrier(runtime, segment_id=segment_id)
-    try:
-        barrier.wait(timeout=timeout)
-    finally:
-        barrier.close()
+    """One-shot dissemination barrier (compiles, runs and closes a plan)."""
+    from .policy import CollectiveRequest
+
+    run_barrier(
+        runtime,
+        CollectiveRequest(collective="barrier", segment_id=segment_id, timeout=timeout),
+    )
 
 
 def dissemination_barrier_schedule(

@@ -54,7 +54,6 @@ from typing import TYPE_CHECKING, Generator, List, Optional, Tuple
 import numpy as np
 
 from ..gaspi.constants import GASPI_BLOCK
-from ..gaspi.errors import GaspiError
 from ..telemetry.core import CLOCK, NULL_TELEMETRY
 from ..utils.logging import get_logger
 from ..utils.validation import require
@@ -239,6 +238,39 @@ def _drive_pipeline_instrumented(runtime, tel, gen: PipelineGen, timeout: float)
             spec = next(gen)
     except StopIteration as stop:
         return stop.value
+
+
+class GeneratorPlan(CollectivePlan):
+    """A compiled plan whose call is a resumable :class:`WaitSpec` generator.
+
+    Subclasses implement ``_run(request, poll_timeout)``, which waits with
+    ``poll_timeout`` inline and yields a :class:`WaitSpec` only when that
+    wait comes back empty.  :meth:`begin` polls, so a
+    :class:`ProgressEngine` or the analysis model can advance the call
+    incrementally; :meth:`execute` runs it to completion with blocking
+    waits.
+    """
+
+    def begin(self, request: "CollectiveRequest") -> PipelineGen:
+        """The incremental executor (generator) for one call."""
+        return self._run(request, poll_timeout=0.0)
+
+    def execute(self, request: "CollectiveRequest") -> "CollectiveResult":
+        # Blocking mode: the generator waits inline with the request's
+        # timeout and (in the common infinite-timeout case) never yields,
+        # so the blocking path pays exactly one wait per notification —
+        # no poll-then-park double round-trip.  A yield after such a wait
+        # means the timeout already expired, so drive_pipeline only
+        # re-checks once instead of waiting the timeout a second time.
+        poll_timeout = _plan_poll_timeout(self.runtime, request)
+        return drive_pipeline(
+            self.runtime,
+            self._run(request, poll_timeout=poll_timeout),
+            request.timeout if poll_timeout == 0.0 else 0.0,
+        )
+
+    def _run(self, request: "CollectiveRequest", poll_timeout: float) -> PipelineGen:
+        raise NotImplementedError
 
 
 # --------------------------------------------------------------------------- #
@@ -609,7 +641,7 @@ class ProgressEngine:
 # --------------------------------------------------------------------------- #
 # pipelined BST broadcast
 # --------------------------------------------------------------------------- #
-class PipelinedBstBcastPlan(CollectivePlan):
+class PipelinedBstBcastPlan(GeneratorPlan):
     """Chunked, pipelined BST broadcast over a (bindable) workspace.
 
     A parent forwards chunk ``k`` to its children the moment chunk ``k``'s
@@ -683,27 +715,6 @@ class PipelinedBstBcastPlan(CollectivePlan):
             None
             if self.zero_copy
             else runtime.segment_view(segment_id, dtype=self.dtype, count=self.elements)
-        )
-
-    # ------------------------------------------------------------------ #
-    def begin(self, request: "CollectiveRequest") -> PipelineGen:
-        """The incremental executor (generator) for one call.
-
-        Waits poll with ``timeout=0`` and yield a :class:`WaitSpec` when
-        blocked, so a :class:`ProgressEngine` can advance the pipeline
-        incrementally.
-        """
-        return self._run(request, poll_timeout=0.0)
-
-    def execute(self, request: "CollectiveRequest") -> "CollectiveResult":
-        # Blocking mode: the generator waits inline with the request's
-        # timeout and (in the common infinite-timeout case) never yields,
-        # so the blocking path pays exactly one wait per notification —
-        # no poll-then-park double round-trip.
-        return drive_pipeline(
-            self.runtime,
-            self._run(request, poll_timeout=_plan_poll_timeout(self.runtime, request)),
-            request.timeout,
         )
 
     # ------------------------------------------------------------------ #
@@ -789,7 +800,7 @@ class PipelinedBstBcastPlan(CollectivePlan):
 # --------------------------------------------------------------------------- #
 # pipelined BST reduce
 # --------------------------------------------------------------------------- #
-class PipelinedBstReducePlan(CollectivePlan):
+class PipelinedBstReducePlan(GeneratorPlan):
     """Chunked, pipelined BST reduce with per-chunk folds and push-ups.
 
     A parent folds chunk ``k`` of each child (vectorised
@@ -893,17 +904,6 @@ class PipelinedBstReducePlan(CollectivePlan):
 
     def _data_id(self, child_index: int, chunk: int) -> int:
         return self.notif_data.id(child_index * self.chunks.num_chunks + chunk)
-
-    # ------------------------------------------------------------------ #
-    def begin(self, request: "CollectiveRequest") -> PipelineGen:
-        return self._run(request, poll_timeout=0.0)
-
-    def execute(self, request: "CollectiveRequest") -> "CollectiveResult":
-        return drive_pipeline(
-            self.runtime,
-            self._run(request, poll_timeout=_plan_poll_timeout(self.runtime, request)),
-            request.timeout,
-        )
 
     # ------------------------------------------------------------------ #
     def _run(self, request: "CollectiveRequest", poll_timeout: float) -> PipelineGen:
@@ -1081,7 +1081,7 @@ class PipelinedBstReducePlan(CollectivePlan):
 # --------------------------------------------------------------------------- #
 # pipelined (chunked) ring allreduce
 # --------------------------------------------------------------------------- #
-class PipelinedRingAllreducePlan(CollectivePlan):
+class PipelinedRingAllreducePlan(GeneratorPlan):
     """Ring allreduce with in-flight sub-chunk slots and a zero-copy path.
 
     Differences from the monolithic :class:`~repro.core.allreduce_ring.RingAllreducePlan`:
@@ -1202,17 +1202,6 @@ class PipelinedRingAllreducePlan(CollectivePlan):
         return self.notif_steps.id(step * self.subs + sub)
 
     # ------------------------------------------------------------------ #
-    def begin(self, request: "CollectiveRequest") -> PipelineGen:
-        return self._run(request, poll_timeout=0.0)
-
-    def execute(self, request: "CollectiveRequest") -> "CollectiveResult":
-        return drive_pipeline(
-            self.runtime,
-            self._run(request, poll_timeout=_plan_poll_timeout(self.runtime, request)),
-            request.timeout,
-        )
-
-    # ------------------------------------------------------------------ #
     def _run(self, request: "CollectiveRequest", poll_timeout: float) -> PipelineGen:
         from .allreduce_ring import RingAllreduceStats
         from .policy import CollectiveResult
@@ -1319,24 +1308,10 @@ def _request_key(
 
 
 def _run_cold(plan_cls, collective: str, name: str, runtime, request):
-    """Build a throwaway plan, run one call, tear it down (cold path).
-
-    Mirrors the other cold runners' costs: one segment registration with
-    its barrier on construction, one barrier before the segment delete
-    (draining the entry-handshake notifications still in flight from the
-    call).
-    """
+    """Build a throwaway plan, run one call, tear it down (cold path)."""
     key = _request_key(collective, name, runtime, request)
     plan = plan_cls(runtime, key, request.segment_id, request.policy)
-    try:
-        result = plan.execute(request)
-    finally:
-        try:
-            runtime.barrier()
-        except GaspiError:  # pragma: no cover - crashed/vanished runtime
-            pass
-        plan.close()
-    return result
+    return plan.run_once(request)
 
 
 def run_pipelined_bcast(runtime, request):

@@ -121,9 +121,15 @@ class PlanKey:
     ) -> Optional["PlanKey"]:
         """Key of the plan serving ``request``, or ``None`` if unplannable.
 
-        Data-free requests (barriers) and non-array payloads cannot be
-        keyed and fall back to the cold path.
+        A barrier keys to one data-free plan (:meth:`data_free`).  Other
+        data-free requests, empty or non-array payloads and variable-count
+        exchanges (``alltoallv``: the counts are part of the shape but not
+        of the key) fall back to the cold path.
         """
+        if info.collective == "barrier":
+            return cls.data_free(info.collective, info.name, runtime.size, request)
+        if request.send_counts is not None or request.recv_counts is not None:
+            return None
         if request.sendbuf is None:
             return None
         sendbuf = np.asarray(request.sendbuf)
@@ -143,6 +149,27 @@ class PlanKey:
             nbytes=int(sendbuf.nbytes),
             dtype=sendbuf.dtype.str,
             op=op_name,
+            policy=policy_fingerprint(request.policy),
+            tag=int(request.tag),
+        )
+
+    @classmethod
+    def data_free(
+        cls, collective: str, algorithm: str, size: int, request: "CollectiveRequest"
+    ) -> "PlanKey":
+        """Key of a collective that moves no data (the barrier).
+
+        Payload fields are fixed (no bytes, ``uint8``, no operator), so
+        every call of the collective on a communicator shares one plan.
+        """
+        return cls(
+            collective=collective,
+            algorithm=algorithm,
+            size=int(size),
+            root=0,
+            nbytes=0,
+            dtype=np.dtype(np.uint8).str,
+            op="",
             policy=policy_fingerprint(request.policy),
             tag=int(request.tag),
         )
@@ -215,6 +242,9 @@ class CollectivePlan:
         self.key_dtype = np.dtype(key.dtype)
         self.segment_id = int(segment_id)
         self.calls = 0
+        #: Payload size the schedule builder takes; plans whose builder
+        #: counts bytes per rank pair (alltoall) override it.
+        self.schedule_nbytes = key.nbytes
         #: Pin reference count: one per open persistent handle.  A plan is
         #: exempt from LRU eviction while any handle still references it —
         #: a plain boolean would let closing one of two same-shape handles
@@ -248,7 +278,7 @@ class CollectivePlan:
         if self._schedule is None:
             policy = policy_from_fingerprint(self.key.policy)
             self._schedule = info.builder(
-                self.key.size, self.key.nbytes, **info.schedule_kwargs(policy)
+                self.key.size, self.schedule_nbytes, **info.schedule_kwargs(policy)
             )
         return self._schedule
 
@@ -291,6 +321,23 @@ class CollectivePlan:
                 f"{self.key.dtype}"
             )
         return buffer
+
+    def run_once(self, request: "CollectiveRequest") -> "CollectiveResult":
+        """The cold path: run one call on this fresh plan, then close it.
+
+        The plan's construction took the entry barrier; the exit barrier
+        here drains notifications still in flight from the call (the
+        consume-acks and entry handshakes a next call would have
+        absorbed) before the workspace is freed.
+        """
+        try:
+            return self.execute(request)
+        finally:
+            try:
+                self.runtime.barrier()
+            except GaspiError:  # pragma: no cover - crashed/vanished runtime
+                pass
+            self.close()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "closed" if self._closed else f"calls={self.calls}"

@@ -437,28 +437,20 @@ def _run_allreduce_hypercube(runtime, request: CollectiveRequest) -> CollectiveR
 
 
 def _run_alltoall(runtime, request: CollectiveRequest) -> CollectiveResult:
-    from .alltoall import alltoall, alltoallv
+    from .alltoall import alltoallv, run_alltoall
 
-    if request.send_counts is not None or request.recv_counts is not None:
-        value = alltoallv(
-            runtime,
-            request.sendbuf,
-            request.send_counts,
-            request.recv_counts,
-            request.recvbuf,
-            segment_id=request.segment_id,
-            queue=request.queue,
-            timeout=request.timeout,
-        )
-    else:
-        value = alltoall(
-            runtime,
-            request.sendbuf,
-            request.recvbuf,
-            segment_id=request.segment_id,
-            queue=request.queue,
-            timeout=request.timeout,
-        )
+    if request.send_counts is None and request.recv_counts is None:
+        return run_alltoall(runtime, request)
+    value = alltoallv(
+        runtime,
+        request.sendbuf,
+        request.send_counts,
+        request.recv_counts,
+        request.recvbuf,
+        segment_id=request.segment_id,
+        queue=request.queue,
+        timeout=request.timeout,
+    )
     return CollectiveResult(value=value)
 
 
@@ -477,10 +469,9 @@ def _run_allgather_ring(runtime, request: CollectiveRequest) -> CollectiveResult
 
 
 def _run_barrier(runtime, request: CollectiveRequest) -> CollectiveResult:
-    from .barrier import notification_barrier
+    from .barrier import run_barrier
 
-    notification_barrier(runtime, segment_id=request.segment_id, timeout=request.timeout)
-    return CollectiveResult(value=None)
+    return run_barrier(runtime, request)
 
 
 # --------------------------------------------------------------------------- #
@@ -514,6 +505,18 @@ def _plan_allreduce_hypercube(runtime, key, segment_id, policy) -> CollectivePla
     from .allreduce_ssp import HypercubeAllreducePlan
 
     return HypercubeAllreducePlan(runtime, key, segment_id, policy)
+
+
+def _plan_alltoall(runtime, key, segment_id, policy) -> CollectivePlan:
+    from .alltoall import AlltoallPlan
+
+    return AlltoallPlan(runtime, key, segment_id, policy)
+
+
+def _plan_barrier(runtime, key, segment_id, policy) -> CollectivePlan:
+    from .barrier import BarrierPlan
+
+    return BarrierPlan(runtime, key, segment_id, policy)
 
 
 # --------------------------------------------------------------------------- #
@@ -703,6 +706,8 @@ def _register_core_algorithms() -> None:
         family="gaspi",
         builder=alltoall_schedule,
         runner=_run_alltoall,
+        planner=_plan_alltoall,
+        capabilities=AlgorithmCapabilities(plannable=True, verified=True),
         description="Direct write_notify AlltoAll (paper IV-B)",
     )
     REGISTRY.register(
@@ -721,6 +726,8 @@ def _register_core_algorithms() -> None:
             num_ranks, **kw
         ),
         runner=_run_barrier,
+        planner=_plan_barrier,
+        capabilities=AlgorithmCapabilities(plannable=True, verified=True),
         description="Dissemination barrier built on notifications",
     )
 

@@ -1002,6 +1002,11 @@ class ShmRuntime(GaspiRuntime):
             raise GaspiSegmentError(
                 f"rank {target_rank} has no segment with id {segment_id}"
             ) from exc
+        # Segment ids are never reused, so a mapping of a deleted segment
+        # would otherwise only be dropped at close() and pin its unlinked
+        # pages until then: prune every invalidated one on each attach.
+        for stale in [k for k, b in self._remote.items() if not b.valid]:
+            self._remote.pop(stale).release()
         self._remote[key] = block
         return block
 

@@ -9,10 +9,13 @@ plannable algorithm must verify with zero findings.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from repro.analysis import analyze, build_model, verify_algorithm
+from repro.analysis import DOUBLE_POST, analyze, build_model, verify_algorithm
+from repro.core.alltoall import AlltoallPlan
 from repro.core.registry import REGISTRY
 
 PLANNABLE = sorted(
@@ -65,6 +68,53 @@ def test_model_nondefault_root():
     run = build_model("gaspi_bcast_bst", 8, 256, root=3)
     for rank in range(8):
         assert np.array_equal(run.sendbufs[rank], run.sendbufs[3])
+
+
+def test_model_alltoall_reuses_parity_slots_at_three_calls():
+    # Call 3 is the first to write a parity slot a second time.
+    run = build_model("gaspi_alltoall", 8, 1024, calls=3)
+    assert not run.stalled_ranks
+    findings = analyze(run.trace)
+    assert findings == [], [finding.describe() for finding in findings]
+    block = 128 // 8
+    for rank in range(8):
+        expected = np.concatenate(
+            [run.sendbufs[src][rank * block : (rank + 1) * block] for src in range(8)]
+        )
+        assert np.array_equal(run.recvbufs[rank], expected)
+
+
+class _SingleBufferedAlltoallPlan(AlltoallPlan):
+    """Defective variant: every call reuses the parity-0 slots and ids."""
+
+    def begin(self, request):
+        self.calls = 0
+        return super().begin(request)
+
+
+@pytest.mark.parametrize("ranks", [4, 8, 16])
+def test_single_buffered_alltoall_is_flagged(ranks, monkeypatch):
+    name = "test_alltoall_single_buffered"
+    info = replace(
+        REGISTRY.get("gaspi_alltoall"),
+        name=name,
+        planner=lambda rt, key, sid, policy: _SingleBufferedAlltoallPlan(
+            rt, key, sid, policy
+        ),
+    )
+    monkeypatch.setitem(REGISTRY._algorithms, name, info)
+    run = build_model(name, ranks, 1024, calls=3)
+    findings = analyze(run.trace)
+    assert run.stalled_ranks
+    assert DOUBLE_POST in {finding.check for finding in findings}
+
+
+def test_model_barrier_wraps_its_generations_cleanly():
+    # Six calls cycle through every generation slot of the id map.
+    run = build_model("gaspi_barrier_dissemination", 8, 0, calls=6)
+    assert not run.stalled_ranks
+    findings = analyze(run.trace)
+    assert findings == [], [finding.describe() for finding in findings]
 
 
 # --------------------------------------------------------------------------- #

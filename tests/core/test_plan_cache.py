@@ -342,7 +342,7 @@ class TestPlanKeyAndCacheUnits:
         with pytest.raises(ValueError):
             PlanCache(-1)
 
-    def test_barrier_has_no_plan(self):
+    def test_barrier_keys_to_one_data_free_plan(self):
         info = REGISTRY.get("gaspi_barrier_dissemination")
 
         class FakeRuntime:
@@ -350,7 +350,21 @@ class TestPlanKeyAndCacheUnits:
 
         from repro.core.policy import CollectiveRequest
 
+        key = PlanKey.from_request(info, FakeRuntime(), CollectiveRequest("barrier"))
+        assert key is not None
+        assert key.nbytes == 0 and key.collective == "barrier"
+        # Every barrier request on a communicator shares the one plan.
+        assert key == PlanKey.from_request(
+            info, FakeRuntime(), CollectiveRequest("barrier")
+        )
+        # Other data-free requests stay unplannable.
+        ring = REGISTRY.get("gaspi_allreduce_ring")
         assert (
-            PlanKey.from_request(info, FakeRuntime(), CollectiveRequest("barrier"))
+            PlanKey.from_request(ring, FakeRuntime(), CollectiveRequest("allreduce"))
+            is None
+        )
+        alltoall = REGISTRY.get("gaspi_alltoall")
+        assert (
+            PlanKey.from_request(alltoall, FakeRuntime(), CollectiveRequest("alltoall"))
             is None
         )

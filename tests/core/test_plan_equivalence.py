@@ -31,6 +31,8 @@ SCENARIOS = [
     ("allreduce", "ring", ConsistencyPolicy.strict(), {}),
     ("allreduce", "ring", ConsistencyPolicy.strict(), {"op": "min"}),
     ("allreduce", "hypercube", ConsistencyPolicy.strict(), {}),
+    ("alltoall", "direct", ConsistencyPolicy.strict(), {}),
+    ("barrier", "auto", ConsistencyPolicy.strict(), {}),
 ]
 
 
@@ -66,6 +68,19 @@ def _run_scenario(comm, collective, algorithm, policy, kwargs, elements, calls=2
                 result.elements_reduced,
                 result.contributors,
             )
+        elif collective == "alltoall":
+            # ``elements`` per rank pair.
+            comm.alltoall(
+                rank_vector(rank, elements * comm.size), algorithm=algorithm
+            )
+            result = comm.last_result
+            payload = result.value
+            detail_fields = ()
+        elif collective == "barrier":
+            comm.barrier(algorithm=algorithm)
+            result = comm.last_result
+            payload = np.zeros(0)
+            detail_fields = ()
         else:  # allreduce
             comm.allreduce(
                 rank_vector(rank, elements), op=op, policy=policy, algorithm=algorithm
@@ -123,8 +138,9 @@ def test_cached_equals_cold_threaded(ranks, collective, algorithm, policy, kwarg
         ("reduce", "bst", ConsistencyPolicy.process_threshold(0.75), {}),
         ("allreduce", "ring", ConsistencyPolicy.strict(), {}),
         ("allreduce", "hypercube", ConsistencyPolicy.strict(), {}),
+        ("alltoall", "direct", ConsistencyPolicy.strict(), {}),
     ],
-    ids=["bcast", "reduce", "allreduce-ring", "allreduce-hypercube"],
+    ids=["bcast", "reduce", "allreduce-ring", "allreduce-hypercube", "alltoall"],
 )
 def test_cached_equals_cold_on_the_simulator(collective, algorithm, policy, kwargs):
     """The cached schedule must simulate to the cold path's exact time."""
